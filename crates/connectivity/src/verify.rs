@@ -1,8 +1,10 @@
 //! Max-flow certification of threshold realizations: by Menger's theorem,
 //! `Conn_G(u, v)` equals the maximum number of edge-disjoint `u`–`v`
-//! paths, which Dinic computes exactly.
+//! paths. A pair only has to reach `need = min(ρ(u), ρ(v))`, so each check
+//! is a flow bounded at `need`: exact whenever it falls short, which is
+//! the only case the report records a flow value.
 
-use dgr_graph::{Dinic, Graph};
+use dgr_graph::{Graph, UnitFlow};
 use std::collections::BTreeMap;
 
 /// Node identifier (matches `dgr_ncc::NodeId`).
@@ -58,11 +60,11 @@ pub fn check_thresholds(
     if ids.len() < 2 {
         return report;
     }
-    let mut dinic = Dinic::from_graph(g);
+    let mut flow = UnitFlow::from_graph(g);
     let mut check = |u: NodeId, v: NodeId, report: &mut ThresholdReport| {
         let need = rho[&u].min(rho[&v]);
         let (ui, vi) = (g.index_of(u).unwrap(), g.index_of(v).unwrap());
-        let got = dinic.max_flow(ui, vi) as usize;
+        let got = flow.flow_at_most(ui, vi, need);
         report.pairs_checked += 1;
         if got < need && report.first_violation.is_none() {
             report.satisfied = false;
@@ -114,5 +116,54 @@ mod tests {
         rho.insert(0, 4);
         assert!(check_thresholds(&g, &rho, true).satisfied);
         assert!(check_thresholds(&g, &rho, false).satisfied);
+    }
+
+    /// Hub mode's verdict equals the all-pairs verdict on seeded random
+    /// instances, satisfied and violated alike: by Menger,
+    /// `Conn(u, v) ≥ min(Conn(u, w), Conn(w, v))`, so checking the
+    /// maximum-`ρ` hub `w` against everyone decides every pair.
+    #[test]
+    fn hub_mode_agrees_with_all_pairs_on_random_instances() {
+        // SplitMix64, so the instances need no external generator.
+        let mut state = 0xC0FFEEu64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let (mut satisfied, mut violated) = (0, 0);
+        for n in 2..=10u64 {
+            for percent in [25, 50, 75, 100] {
+                for _ in 0..6 {
+                    let edges: Vec<(u64, u64)> = (0..n)
+                        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                        .filter(|_| next() % 100 < percent)
+                        .collect();
+                    let g = Graph::from_edges(0..n, edges).unwrap();
+                    let rho: BTreeMap<u64, usize> =
+                        (0..n).map(|i| (i, 1 + (next() % 4) as usize)).collect();
+                    let all = check_thresholds(&g, &rho, true);
+                    let hub = check_thresholds(&g, &rho, false);
+                    assert_eq!(all.satisfied, hub.satisfied, "{g:?} {rho:?}");
+                    assert_eq!(all.pairs_checked as u64, n * (n - 1) / 2);
+                    assert_eq!(hub.pairs_checked as u64, n - 1);
+                    // A recorded shortfall is an exact connectivity.
+                    for r in [&all, &hub] {
+                        if let Some((u, v, need, got)) = r.first_violation {
+                            assert!(got < need);
+                            assert_eq!(got, dgr_graph::edge_connectivity(&g, u, v));
+                        }
+                    }
+                    if all.satisfied {
+                        satisfied += 1;
+                    } else {
+                        violated += 1;
+                    }
+                }
+            }
+        }
+        assert!(satisfied > 10 && violated > 10, "{satisfied} / {violated}");
     }
 }

@@ -1,4 +1,4 @@
-//! Dinic max-flow and pairwise edge connectivity.
+//! Bounded unit-capacity max-flow and pairwise edge connectivity.
 //!
 //! Edge connectivity `Conn_G(u, v)` — the maximum number of edge-disjoint
 //! `u`–`v` paths, by Menger's theorem equal to the minimum `u`–`v` edge cut
@@ -6,111 +6,154 @@
 //! modeled as two opposed unit-capacity arcs. This is the exact quantity
 //! the connectivity-threshold realizations (Theorems 17/18) must certify:
 //! `Conn_G(u, v) ≥ min(ρ(u), ρ(v))`.
+//!
+//! Every caller asks a *bounded* question — does the flow reach `need`? —
+//! with `need` at most a node degree, so [`UnitFlow`] augments one unit at
+//! a time along BFS shortest paths and stops at the bound. Each
+//! augmentation is an iterative BFS that ends as soon as it reaches the
+//! sink, so a query costs at most `bound + 1` partial searches and no
+//! recursion: the stack stays flat on path-like graphs of any length.
 
 use crate::graph::Graph;
-use std::collections::VecDeque;
 
-/// A Dinic max-flow solver over a fixed arc structure; capacities reset per
-/// query so one instance serves many pairs.
-pub struct Dinic {
-    /// Arc targets; arcs stored in pairs (arc ^ 1 = reverse arc).
-    to: Vec<usize>,
-    /// Residual capacities.
-    cap: Vec<i64>,
-    /// Head of adjacency list per node (indices into `to`).
-    head: Vec<Vec<usize>>,
-    /// Initial capacities, for resetting between queries.
-    cap0: Vec<i64>,
+/// A bounded augmenting-path max-flow solver for unit-capacity undirected
+/// graphs. The arc structure is built once; all search buffers are
+/// allocated once and reused, and a query resets only the arcs the
+/// previous query touched, so one instance serves many pairs.
+pub struct UnitFlow {
+    /// CSR offsets: node `u`'s arcs are `out[first[u]..first[u + 1]]`.
+    first: Vec<usize>,
+    /// Arc ids grouped by tail node.
+    out: Vec<u32>,
+    /// Arc heads; arcs are stored in pairs (`a ^ 1` is the reverse arc).
+    to: Vec<u32>,
+    /// Residual capacities: 1 per arc when idle, 0..=2 during a query.
+    res: Vec<u8>,
+    /// Edges (`a >> 1`) whose arcs left the idle state this query.
+    dirty: Vec<u32>,
+    /// BFS visit stamps; `seen[v] == epoch` means visited by this search.
+    seen: Vec<u32>,
+    epoch: u32,
+    /// The arc each visited node was reached by.
+    via: Vec<u32>,
+    /// BFS queue.
+    queue: Vec<u32>,
 }
 
-impl Dinic {
+impl UnitFlow {
     /// Builds the flow network for an undirected graph with unit edge
-    /// capacities: each edge becomes two opposed arcs of capacity 1
-    /// (standard undirected-flow modeling: an edge can carry one unit in
-    /// either direction, and the pairing makes residual updates correct).
+    /// capacities: each edge becomes two opposed arcs of capacity 1 (an
+    /// edge can carry one unit in either direction, and the pairing makes
+    /// residual updates correct).
     pub fn from_graph(g: &Graph) -> Self {
         let n = g.node_count();
-        let mut d = Dinic {
-            to: Vec::new(),
-            cap: Vec::new(),
-            head: vec![Vec::new(); n],
-            cap0: Vec::new(),
-        };
+        let arcs = 2 * g.edge_count();
+        assert!(
+            u32::try_from(arcs).is_ok() && u32::try_from(n).is_ok(),
+            "graph too large for 32-bit arc and node indices"
+        );
+        let mut first = Vec::with_capacity(n + 1);
+        let mut deg_sum = 0;
+        for u in 0..n {
+            first.push(deg_sum);
+            deg_sum += g.neighbors(u).len();
+        }
+        first.push(deg_sum);
+        let mut fill = first.clone();
+        let mut out = vec![0u32; arcs];
+        let mut to = Vec::with_capacity(arcs);
         for u in 0..n {
             for &v in g.neighbors(u) {
                 if u < v {
-                    d.add_arc_pair(u, v, 1, 1);
+                    let a = to.len() as u32;
+                    to.extend([v as u32, u as u32]);
+                    out[fill[u]] = a;
+                    out[fill[v]] = a ^ 1;
+                    fill[u] += 1;
+                    fill[v] += 1;
                 }
             }
         }
-        d
+        UnitFlow {
+            first,
+            out,
+            to,
+            res: vec![1; arcs],
+            dirty: Vec::new(),
+            seen: vec![0; n],
+            epoch: 0,
+            via: vec![0; n],
+            queue: Vec::with_capacity(n),
+        }
     }
 
-    fn add_arc_pair(&mut self, u: usize, v: usize, cap_uv: i64, cap_vu: i64) {
-        self.head[u].push(self.to.len());
-        self.to.push(v);
-        self.cap.push(cap_uv);
-        self.cap0.push(cap_uv);
-        self.head[v].push(self.to.len());
-        self.to.push(u);
-        self.cap.push(cap_vu);
-        self.cap0.push(cap_vu);
+    /// Number of arcs leaving `u` — its degree in the graph.
+    fn degree(&self, u: usize) -> usize {
+        self.first[u + 1] - self.first[u]
     }
 
-    /// Maximum `s`–`t` flow. Residual capacities are reset first, so calls
-    /// are independent.
-    pub fn max_flow(&mut self, s: usize, t: usize) -> i64 {
-        assert_ne!(s, t, "max_flow endpoints must differ");
-        self.cap.copy_from_slice(&self.cap0);
-        let n = self.head.len();
+    /// `min(maxflow(s, t), bound)`: exact whenever the result is below
+    /// `bound`. Calls are independent of each other.
+    pub fn flow_at_most(&mut self, s: usize, t: usize, bound: usize) -> usize {
+        assert_ne!(s, t, "flow endpoints must differ");
+        for e in self.dirty.drain(..) {
+            let a = 2 * e as usize;
+            self.res[a] = 1;
+            self.res[a + 1] = 1;
+        }
         let mut flow = 0;
-        loop {
-            // BFS level graph.
-            let mut level = vec![usize::MAX; n];
-            level[s] = 0;
-            let mut queue = VecDeque::from([s]);
-            while let Some(u) = queue.pop_front() {
-                for &a in &self.head[u] {
-                    let v = self.to[a];
-                    if self.cap[a] > 0 && level[v] == usize::MAX {
-                        level[v] = level[u] + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            if level[t] == usize::MAX {
-                return flow;
-            }
-            // DFS blocking flow with iteration pointers.
-            let mut iter = vec![0usize; n];
-            loop {
-                let pushed = self.dfs(s, t, i64::MAX, &level, &mut iter);
-                if pushed == 0 {
-                    break;
-                }
-                flow += pushed;
-            }
+        while flow < bound && self.augment(s, t) {
+            flow += 1;
         }
+        flow
     }
 
-    fn dfs(&mut self, u: usize, t: usize, limit: i64, level: &[usize], iter: &mut [usize]) -> i64 {
-        if u == t {
-            return limit;
+    /// Finds one shortest augmenting `s`–`t` path by BFS, stopping when
+    /// `t` is reached, and pushes a unit along it. False when `t` is
+    /// unreachable in the residual graph (the flow is maximum).
+    fn augment(&mut self, s: usize, t: usize) -> bool {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
         }
-        while iter[u] < self.head[u].len() {
-            let a = self.head[u][iter[u]];
-            let v = self.to[a];
-            if self.cap[a] > 0 && level[v] == level[u] + 1 {
-                let pushed = self.dfs(v, t, limit.min(self.cap[a]), level, iter);
-                if pushed > 0 {
-                    self.cap[a] -= pushed;
-                    self.cap[a ^ 1] += pushed;
-                    return pushed;
+        let epoch = self.epoch;
+        self.seen[s] = epoch;
+        self.queue.clear();
+        self.queue.push(s as u32);
+        let mut head = 0;
+        while head < self.queue.len() {
+            let u = self.queue[head] as usize;
+            head += 1;
+            for &a in &self.out[self.first[u]..self.first[u + 1]] {
+                let v = self.to[a as usize] as usize;
+                if self.res[a as usize] == 0 || self.seen[v] == epoch {
+                    continue;
                 }
+                self.seen[v] = epoch;
+                self.via[v] = a;
+                if v == t {
+                    self.push_path(s, t);
+                    return true;
+                }
+                self.queue.push(v as u32);
             }
-            iter[u] += 1;
         }
-        0
+        false
+    }
+
+    /// Pushes one unit along the `via` chain from `t` back to `s`.
+    fn push_path(&mut self, s: usize, t: usize) {
+        let mut v = t;
+        while v != s {
+            let a = self.via[v] as usize;
+            if self.res[a] == 1 && self.res[a ^ 1] == 1 {
+                self.dirty.push((a >> 1) as u32);
+            }
+            self.res[a] -= 1;
+            self.res[a ^ 1] += 1;
+            v = self.to[a ^ 1] as usize;
+        }
     }
 }
 
@@ -123,7 +166,10 @@ pub fn edge_connectivity(g: &Graph, u: u64, v: u64) -> usize {
     if ui == vi {
         return 0;
     }
-    Dinic::from_graph(g).max_flow(ui, vi) as usize
+    let mut flow = UnitFlow::from_graph(g);
+    // Each unit of flow leaves `u` and enters `v` on a distinct edge.
+    let bound = flow.degree(ui).min(flow.degree(vi));
+    flow.flow_at_most(ui, vi, bound)
 }
 
 /// Global edge connectivity: `min_u Conn(v0, u)` over a fixed `v0` (valid
@@ -133,8 +179,15 @@ pub fn global_edge_connectivity(g: &Graph) -> usize {
     if n <= 1 {
         return 0;
     }
-    let mut dinic = Dinic::from_graph(g);
-    (1..n).map(|t| dinic.max_flow(0, t) as usize).min().unwrap()
+    let mut flow = UnitFlow::from_graph(g);
+    // A flow is needed only up to the best cut so far: a bounded answer
+    // equal to the bound cannot lower the minimum.
+    let mut best = flow.degree(0);
+    for t in 1..n {
+        let bound = best.min(flow.degree(t));
+        best = best.min(flow.flow_at_most(0, t, bound));
+    }
+    best
 }
 
 #[cfg(test)]
@@ -198,5 +251,41 @@ mod tests {
         let g = Graph::from_edges(0..=4, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]).unwrap();
         assert_eq!(edge_connectivity(&g, 1, 2), 2);
         assert_eq!(edge_connectivity(&g, 1, 3), 2);
+    }
+
+    #[test]
+    fn bounded_queries_stop_at_the_bound_and_reset_between_calls() {
+        // K5: Conn = 4 between every pair.
+        let mut edges = Vec::new();
+        for u in 0..5u64 {
+            for v in (u + 1)..5 {
+                edges.push((u, v));
+            }
+        }
+        let g = Graph::from_edges(0..5, edges).unwrap();
+        let mut flow = UnitFlow::from_graph(&g);
+        for bound in 0..=6 {
+            assert_eq!(flow.flow_at_most(0, 4, bound), bound.min(4));
+            // A later query on another pair sees a clean network.
+            assert_eq!(flow.flow_at_most(1, 2, usize::MAX), 4);
+        }
+    }
+
+    /// Stack-depth regression: a 200,000-node cycle on a thread with a
+    /// 2 MiB stack. The augmenting search is iterative, so path length
+    /// does not reach the call stack.
+    #[test]
+    fn long_cycle_runs_on_a_small_stack() {
+        const N: u64 = 200_000;
+        let connectivity = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let g = Graph::from_edges(0..N, (0..N).map(|i| (i, (i + 1) % N))).unwrap();
+                edge_connectivity(&g, 0, N / 2)
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(connectivity, 2);
     }
 }

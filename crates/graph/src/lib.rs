@@ -1,7 +1,8 @@
 //! Graph substrate for verifying realizations: simple undirected graphs
 //! keyed by arbitrary node IDs, BFS-based connectivity and diameter, and
-//! Dinic max-flow for exact pairwise edge connectivity (the quantity the
-//! connectivity-threshold theorems are stated in, via Menger's theorem).
+//! bounded unit-capacity max-flow for exact pairwise edge connectivity
+//! (the quantity the connectivity-threshold theorems are stated in, via
+//! Menger's theorem).
 //!
 //! This crate is the *measurement instrument* for the realization
 //! algorithms: every distributed construction in the workspace is checked
@@ -14,5 +15,5 @@ mod graph;
 pub use bfs::{
     bfs_distances, connected_components, diameter, eccentricity, is_connected, tree_diameter,
 };
-pub use flow::{edge_connectivity, global_edge_connectivity, Dinic};
+pub use flow::{edge_connectivity, global_edge_connectivity, UnitFlow};
 pub use graph::{DegreeMap, Graph};

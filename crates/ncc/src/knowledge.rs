@@ -7,26 +7,38 @@
 //! clean strict run is a machine-checked proof that the protocol is a legal
 //! NCC0 algorithm.
 //!
-//! ## Storage: per-node sorted arenas
+//! ## Storage: per-node sorted regions in a paged arena
 //!
 //! The tracker is engine-native rather than collection-backed: all learned
-//! IDs live in **one** flat arena, and node `i` owns a contiguous region of
-//! it, kept sorted. `knows` is a binary search over the node's region (no
+//! IDs live in **one** arena, and node `i` owns a contiguous region of it,
+//! kept sorted. `knows` is a binary search over the node's region (no
 //! hashing, cache-linear); `learn` of an already-known ID is the same
 //! search and touches no memory. A new ID is inserted in place (one
 //! `copy_within` inside the region) while the region has spare capacity;
-//! when it is full, the region is re-homed to the arena tail with twice
-//! the capacity. Region capacities are powers of two, so the total arena —
-//! live regions plus abandoned predecessors — is bounded by ~3x the live
-//! knowledge, and once every node's knowledge has stopped growing (the
-//! steady state of every bounded-knowledge protocol) the tracker performs
-//! **zero allocations**: the strict-KT0 probe in
+//! when it is full, the region is re-homed to fresh arena space with twice
+//! the capacity. Region capacities are powers of two, so the allocated
+//! capacity — live regions plus abandoned predecessors — is bounded by
+//! ~3x the live knowledge, and once every node's knowledge has stopped
+//! growing (the steady state of every bounded-knowledge protocol) the
+//! tracker performs **zero allocations**: the strict-KT0 probe in
 //! `crates/ncc/tests/zero_alloc.rs` locks that in.
+//!
+//! The arena is a list of fixed-size **pages**, not one growable vector.
+//! The first page holds `MIN_REGION` IDs per node, enough for path
+//! seeding; later regions are carved from `PAGE`-ID pages appended as
+//! needed, and a region larger than a page gets a page of its own.
+//! Growth never reallocates or copies what is already stored, and every
+//! page but the oversized ones has one of two sizes, so the allocator
+//! reuses a finished run's pages for the next run instead of leaving the
+//! holes a geometrically regrown vector leaves behind.
 
 use crate::message::NodeId;
 
 /// Smallest region capacity handed to a node on its first learned ID.
 const MIN_REGION: usize = 4;
+
+/// Size in IDs of every arena page after the first (256 KiB).
+const PAGE: usize = 1 << 15;
 
 /// Seeds the initial NCC0 knowledge along the directed path `G_k`, but
 /// only for *participating* nodes: each participating node learns its own
@@ -125,20 +137,35 @@ pub(crate) fn seed_path_sharded(
 /// One node's region of the knowledge arena.
 #[derive(Clone, Copy, Debug, Default)]
 struct Region {
-    /// Arena offset of the region.
-    start: usize,
+    /// Arena page holding the region.
+    page: u32,
+    /// Offset of the region within its page.
+    start: u32,
     /// IDs currently stored (sorted ascending).
-    len: usize,
+    len: u32,
     /// Region capacity (power of two; 0 before the first learn).
-    cap: usize,
+    cap: u32,
+}
+
+impl Region {
+    #[inline]
+    fn span(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// Per-node knowledge sets, indexed by the engine's dense node index,
-/// stored as sorted regions of a single shared arena (see module docs).
+/// stored as sorted regions of a paged arena (see module docs).
 #[derive(Debug)]
 pub struct KnowledgeTracker {
     regions: Vec<Region>,
-    arena: Vec<NodeId>,
+    /// Arena pages; regions are carved from the open page front to back.
+    pages: Vec<Box<[NodeId]>>,
+    /// The page new regions are carved from, and its fill mark.
+    open: usize,
+    used: usize,
+    /// Sum of the capacities of every region handed out.
+    allocated: usize,
     enabled: bool,
 }
 
@@ -152,10 +179,17 @@ impl KnowledgeTracker {
             } else {
                 Vec::new()
             },
-            // Path seeding gives most nodes 2-3 IDs; pre-sizing for one
+            // Path seeding gives most nodes 2-3 IDs; a first page of one
             // MIN_REGION block per node makes the seeding phase a single
             // allocation.
-            arena: Vec::with_capacity(if enabled { MIN_REGION * n } else { 0 }),
+            pages: if enabled {
+                vec![vec![0; MIN_REGION * n].into_boxed_slice()]
+            } else {
+                Vec::new()
+            },
+            open: 0,
+            used: 0,
+            allocated: 0,
             enabled,
         }
     }
@@ -169,7 +203,7 @@ impl KnowledgeTracker {
     #[inline]
     fn region_slice(&self, node: usize) -> &[NodeId] {
         let r = self.regions[node];
-        &self.arena[r.start..r.start + r.len]
+        &self.pages[r.page as usize][r.span()]
     }
 
     /// Grants `node` knowledge of `id` (initial knowledge or learning).
@@ -177,34 +211,57 @@ impl KnowledgeTracker {
         if !self.enabled {
             return;
         }
-        let r = self.regions[node];
-        let pos = match self.arena[r.start..r.start + r.len].binary_search(&id) {
+        let pos = match self.region_slice(node).binary_search(&id) {
             Ok(_) => return, // already known: no writes, no allocation
             Err(pos) => pos,
         };
-        let r = if r.len == r.cap {
-            // Region full: re-home to the arena tail with double capacity
-            // (the abandoned predecessor is never reclaimed — the geometric
-            // growth bounds total waste by the live size).
-            let cap = (r.cap * 2).max(MIN_REGION);
-            let start = self.arena.len();
-            self.arena.resize(start + cap, 0);
-            self.arena.copy_within(r.start..r.start + r.len, start);
-            let moved = Region {
-                start,
-                len: r.len,
-                cap,
-            };
-            self.regions[node] = moved;
-            moved
-        } else {
-            r
-        };
+        let mut r = self.regions[node];
+        if r.len == r.cap {
+            r = self.rehome(r);
+        }
         // Sorted insert: shift the tail of the region right by one.
-        let at = r.start + pos;
-        self.arena.copy_within(at..r.start + r.len, at + 1);
-        self.arena[at] = id;
-        self.regions[node].len += 1;
+        let region = &mut self.pages[r.page as usize][r.start as usize..][..r.len as usize + 1];
+        region.copy_within(pos..r.len as usize, pos + 1);
+        region[pos] = id;
+        r.len += 1;
+        self.regions[node] = r;
+    }
+
+    /// Moves a full region to fresh arena space with double capacity (the
+    /// abandoned predecessor is never reclaimed — the geometric growth
+    /// bounds total waste by the live size).
+    fn rehome(&mut self, r: Region) -> Region {
+        let cap = (r.cap as usize * 2).max(MIN_REGION);
+        let (page, start) = if cap > PAGE {
+            self.pages.push(vec![0; cap].into_boxed_slice());
+            (self.pages.len() - 1, 0)
+        } else {
+            if self.used + cap > self.pages[self.open].len() {
+                self.pages.push(vec![0; PAGE].into_boxed_slice());
+                self.open = self.pages.len() - 1;
+                self.used = 0;
+            }
+            self.used += cap;
+            (self.open, self.used - cap)
+        };
+        self.allocated += cap;
+        let moved = Region {
+            page: u32::try_from(page).expect("knowledge arena page count fits u32"),
+            start: u32::try_from(start).expect("knowledge page offset fits u32"),
+            len: r.len,
+            cap: u32::try_from(cap).expect("knowledge region capacity fits u32"),
+        };
+        let (from, to) = (r.page as usize, page);
+        if from == to {
+            self.pages[to].copy_within(r.span(), start);
+        } else {
+            let [old, new] = self
+                .pages
+                .get_disjoint_mut([from, to])
+                .expect("distinct pages");
+            new[start..][..r.len as usize].copy_from_slice(&old[r.span()]);
+        }
+        moved
     }
 
     /// Does `node` know `id`?
@@ -215,27 +272,29 @@ impl KnowledgeTracker {
     /// Number of IDs `node` has learned (0 when tracking is off).
     pub fn knowledge_size(&self, node: usize) -> usize {
         if self.enabled {
-            self.regions[node].len
+            self.regions[node].len as usize
         } else {
             0
         }
     }
 
-    /// Current arena length — live regions plus abandoned predecessors.
-    /// Surfaced through [`EngineStats`](crate::EngineStats) so tests can
-    /// assert that masked runs size knowledge storage by participant
-    /// count, not network size.
+    /// Allocated arena size in IDs: the capacities of live regions plus
+    /// abandoned predecessors (page tails not yet carved are not counted,
+    /// so the figure does not depend on the page size). Surfaced through
+    /// [`EngineStats`](crate::EngineStats) so tests can assert that masked
+    /// runs size knowledge storage by participant count, not network size.
     pub(crate) fn arena_len(&self) -> usize {
-        self.arena.len()
+        self.allocated
     }
 
-    /// A raw view over the regions and the arena for the batched engine's
-    /// parallel learn sweep. Valid only while the tracker is not otherwise
-    /// borrowed; see [`TrackerShard::try_learn`] for the aliasing contract.
+    /// A raw view over the regions and the arena pages for the batched
+    /// engine's parallel learn sweep. Valid only while the tracker is not
+    /// otherwise borrowed; see [`TrackerShard::try_learn`] for the aliasing
+    /// contract.
     pub(crate) fn shard(&mut self) -> TrackerShard {
         TrackerShard {
             regions: self.regions.as_mut_ptr(),
-            arena: self.arena.as_mut_ptr(),
+            pages: self.pages.as_mut_ptr(),
         }
     }
 }
@@ -247,17 +306,21 @@ impl KnowledgeTracker {
 /// regions of distinct nodes occupy disjoint arena spans by construction,
 /// so in-place inserts from different workers never alias. The one
 /// operation that moves memory *between* regions (re-homing a full region
-/// to the arena tail) is excluded: [`TrackerShard::try_learn`] refuses it
-/// and the engine journals the learn for a sequential replay after the
-/// pass. Region contents are sorted **sets**, so the replay order cannot
-/// change what any node knows — only the (unobservable) arena layout.
+/// to fresh arena space, which may append a page) is excluded:
+/// [`TrackerShard::try_learn`] refuses it and the engine journals the
+/// learn for a sequential replay after the pass. Region contents are
+/// sorted **sets**, so the replay order cannot change what any node knows
+/// — only the (unobservable) arena layout.
 pub(crate) struct TrackerShard {
     regions: *mut Region,
-    arena: *mut NodeId,
+    pages: *mut Box<[NodeId]>,
 }
 
-// SAFETY: workers operate on disjoint node regions (see struct docs); the
-// pointers themselves are plain addresses.
+// SAFETY: `regions` — workers read and write disjoint node entries (see
+// struct docs). `pages` — the page list is neither grown nor dropped while a
+// view is live (only `learn`, which needs `&mut KnowledgeTracker`, appends
+// pages), and workers write disjoint spans of the pages through raw place
+// projections. Both pointers are otherwise plain addresses.
 unsafe impl Send for TrackerShard {}
 unsafe impl Sync for TrackerShard {}
 
@@ -273,7 +336,13 @@ impl TrackerShard {
     /// to `node`'s region for the duration of the call.
     pub(crate) unsafe fn try_learn(&self, node: usize, id: NodeId) -> bool {
         let region = &mut *self.regions.add(node);
-        let slice = std::slice::from_raw_parts(self.arena.add(region.start), region.len);
+        // A raw place projection through the page's box: no reference to
+        // the page is formed, since other workers write other regions of
+        // the same page concurrently.
+        let page = std::ptr::addr_of_mut!(**self.pages.add(region.page as usize));
+        let base = page.cast::<NodeId>().add(region.start as usize);
+        let len = region.len as usize;
+        let slice = std::slice::from_raw_parts(base, len);
         let pos = match slice.binary_search(&id) {
             Ok(_) => return true, // already known: no writes
             Err(pos) => pos,
@@ -282,8 +351,8 @@ impl TrackerShard {
             return false; // needs re-homing: defer to the sequential replay
         }
         // Sorted insert inside the region: shift the tail right by one.
-        let at = self.arena.add(region.start + pos);
-        std::ptr::copy(at, at.add(1), region.len - pos);
+        let at = base.add(pos);
+        std::ptr::copy(at, at.add(1), len - pos);
         at.write(id);
         region.len += 1;
         true
@@ -398,6 +467,50 @@ mod tests {
         }
         assert_eq!(t.knowledge_size(0), 5);
         assert_eq!(t.knowledge_size(1), 0);
+    }
+
+    #[test]
+    fn paged_growth_keeps_sets_and_counts_region_capacities() {
+        // Node 0 outgrows a page (its last region gets a page of its own)
+        // while nodes 1 and 2 keep carving regions from shared pages.
+        let mut t = KnowledgeTracker::new(3, true);
+        let big = PAGE as u64 + 100;
+        for k in 0..big {
+            t.learn(0, 2 * k);
+            if k % 64 == 0 {
+                t.learn(1, k);
+                t.learn(2, 3 * k + 1);
+            }
+        }
+        assert!(t.pages.len() > 2, "growth must append pages");
+        assert_eq!(t.pages.last().unwrap().len(), 2 * PAGE, "oversized region");
+        assert_eq!(t.knowledge_size(0), big as usize);
+        for k in 0..big {
+            assert!(t.knows(0, 2 * k), "node 0 lost {}", 2 * k);
+        }
+        assert!(!t.knows(0, 1));
+        let small = big.div_ceil(64) as usize;
+        assert_eq!((t.knowledge_size(1), t.knowledge_size(2)), (small, small));
+        // Every region's capacity doubles from MIN_REGION, so the arena
+        // size is the sum of each node's doubling chain.
+        let chain = |len: usize| {
+            let mut cap = MIN_REGION;
+            let mut sum = cap;
+            while cap < len {
+                cap *= 2;
+                sum += cap;
+            }
+            sum
+        };
+        assert_eq!(t.arena_len(), chain(big as usize) + 2 * chain(small));
+        // The parallel-sweep view writes into regions on later pages too.
+        let shard = t.shard();
+        // SAFETY: node 1 is in bounds and this thread is the only user.
+        unsafe {
+            assert!(shard.try_learn(1, 1_000_000_001));
+        }
+        assert!(t.knows(1, 1_000_000_001));
+        assert_eq!(t.knowledge_size(1), small + 1);
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //! sets are a verification instrument backed by hash sets, not part of
 //! the production routing path).
 //!
-//! Counting is gated on a thread-local flag so only the *measuring*
-//! thread's allocations register: the libtest harness thread performs a
-//! couple of lazy one-off allocations (parker, thread handle) at a
-//! scheduling-dependent moment, which would otherwise race into the
-//! measured window and flake the exact-equality assertion.
+//! Counting is gated on a thread-local flag and kept in a thread-local
+//! counter, so only the *measuring* thread's allocations register and each
+//! test reads its own count: the libtest harness thread performs a couple
+//! of lazy one-off allocations (parker, thread handle) at a
+//! scheduling-dependent moment, and the default runner measures several
+//! tests at once on parallel threads — either would otherwise race into
+//! the measured window and flake the exact-equality assertion.
 
 mod common;
 
@@ -23,16 +25,15 @@ use common::Ping;
 use dgr_ncc::{Config, Network, Scenario};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// True while this thread is inside a measured window (const-init, so
     /// reading it never allocates — safe inside the allocator).
     static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made inside measured windows.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_if_measuring() {
@@ -40,9 +41,14 @@ fn count_if_measuring() {
     // "not measuring" rather than panicking inside the allocator.
     let _ = MEASURING.try_with(|m| {
         if m.get() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            ALLOCATIONS.with(|a| a.set(a.get() + 1));
         }
     });
+}
+
+/// This thread's measured allocation count so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -81,7 +87,7 @@ fn allocations_for_layout(rounds: u64, tracked: bool, shards: usize) -> u64 {
     let mut config = Config::ncc0(99).with_worker_threads(1).with_shards(shards);
     config.track_knowledge = tracked;
     let net = Network::new(512, config);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     MEASURING.with(|m| m.set(true));
     let result = net.run_protocol(|s| Ping::new(s, rounds)).unwrap();
     MEASURING.with(|m| m.set(false));
@@ -93,7 +99,7 @@ fn allocations_for_layout(rounds: u64, tracked: bool, shards: usize) -> u64 {
         // predecessor.
         assert!(result.metrics.max_knowledge <= 3);
     }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 fn allocations_for(rounds: u64) -> u64 {
@@ -154,7 +160,7 @@ fn allocations_for_scenario(rounds: u64, shards: usize) -> u64 {
         .with_shards(shards)
         .with_scenario(scenario);
     let net = Network::new(512, config);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     MEASURING.with(|m| m.set(true));
     let result = net.run_protocol(|s| Ping::new(s, rounds)).unwrap();
     MEASURING.with(|m| m.set(false));
@@ -163,7 +169,7 @@ fn allocations_for_scenario(rounds: u64, shards: usize) -> u64 {
         result.engine.faults_dropped > 0,
         "the drop window never fired — the probe is not measuring the fault pass"
     );
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 /// Fault injection must be allocation-free at steady state, in both the

@@ -9,7 +9,7 @@
 //! The **paper-exact** Algorithm 6 — phase 1 via the prefix envelope
 //! recursion, composed with the phase-2 pipeline and explicitness acks —
 //! builds an *explicit* overlay with at most twice the optimal number of
-//! links; Dinic max-flow certifies every requirement, and we demonstrate
+//! links; max-flow certifies every requirement, and we demonstrate
 //! the survivability by deleting edges.
 
 use distributed_graph_realizations::prelude::*;

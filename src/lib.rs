@@ -107,8 +107,8 @@
 //! * [`primitives`] — structural and computational primitives (balanced
 //!   binary search trees on a path, distributed sorting, broadcast,
 //!   aggregation, multicast).
-//! * [`graph`] — the verification substrate (BFS, diameter, Dinic max-flow
-//!   edge connectivity).
+//! * [`graph`] — the verification substrate (BFS, diameter, bounded
+//!   unit-capacity max-flow edge connectivity).
 //! * [`graphgen`] — seeded workload generators (graphic sequences,
 //!   power-law, trees, thresholds).
 //! * [`realization`] — degree-sequence realization, sequential

@@ -236,9 +236,36 @@ fn sharded_tracked_queue_warmup_at_n_200k() {
     assert!(result.engine.knowledge_arena >= n);
 }
 
+/// Max-flow certification at scale: Algorithm 6 over 8,192 nodes with
+/// thresholds uniform in [1, 4] and certification on (the facade
+/// default), so the run ends with 8,191 hub-to-node flows on a path-like
+/// realization. Run under `--ignored` in release mode.
+#[test]
+#[ignore = "8,191 certification flows; run with --ignored in release mode"]
+fn certify_threshold_at_n_8k() {
+    let n = 8192;
+    let rho = graphgen::uniform_thresholds(n, 1, 4, 8);
+    let out = Realization::new(Workload::Ncc0Threshold(rho))
+        .certify(true)
+        .seed(8)
+        .run()
+        .unwrap();
+    let t = out.threshold();
+    println!(
+        "n={n}: {} edges, {} rounds, {} pairs certified",
+        t.graph.edge_count(),
+        t.metrics.rounds,
+        t.report.pairs_checked
+    );
+    assert!(t.report.certified(), "{:?}", t.report);
+    assert_eq!(t.report.pairs_checked, n - 1);
+    assert!(t.metrics.is_clean());
+}
+
 /// The batched NCC1 star construction at 100k nodes, verified
-/// structurally (full max-flow certification is `O(n)` Dinic runs and
-/// lives in the small-`n` driver tests).
+/// structurally (max-flow certification runs one flow per node; it is
+/// exercised in the driver tests and at n = 8192 by
+/// `certify_threshold_at_n_8k`).
 #[test]
 fn batched_ncc1_star_at_n_100k() {
     use connectivity::distributed::ncc1_step::Ncc1Star;
@@ -430,8 +457,9 @@ fn sorting_at_n_2048_is_polylog() {
 /// pull-based stepper, not a post-hoc dump), the `PhaseChange` events
 /// reconstruct Algorithm 6's data-dependent phases, and the resulting
 /// per-phase round breakdown must sum to the total round count. Verified
-/// structurally (max-flow certification is `O(n)` Dinic runs and lives
-/// in the small-`n` driver tests).
+/// structurally (max-flow certification runs one flow per node; it is
+/// exercised in the driver tests and at n = 8192 by
+/// `certify_threshold_at_n_8k`).
 #[test]
 fn composed_alg6_exact_at_n_100k_streams_every_round() {
     use distributed_graph_realizations::RunEvent;

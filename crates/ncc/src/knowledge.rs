@@ -46,6 +46,7 @@ const PAGE: usize = 1 << 15;
 /// filtered indices are skipped entirely, consistent with the engines'
 /// `alive` masks — they are not on the path, so nobody's initial knowledge
 /// may point at them).
+#[cfg(any(test, feature = "threaded"))]
 pub(crate) fn seed_path(
     tracker: &mut KnowledgeTracker,
     ids: &[NodeId],

@@ -60,7 +60,8 @@ pub struct Network {
     config: Config,
     /// IDs in `G_k` path order (index = path position).
     ids: Vec<NodeId>,
-    /// Dense ID→index resolution (no hashing on the send path).
+    /// Dense ID→index resolution: arithmetic for sequential IDs, one
+    /// deterministic open-addressing table lookup for random IDs.
     resolver: Resolver,
 }
 

@@ -91,19 +91,42 @@ impl RowTable {
     }
 }
 
-/// Maps node IDs to dense indices without hashing.
+/// Maps node IDs to dense indices in O(1).
 ///
 /// Sequential networks (`ids[i] == i + 1`) resolve arithmetically;
-/// random-ID networks resolve by binary search over a sorted copy of the
-/// ID space. Either way resolution happens once per *send* (in
-/// [`RoundCtx::send`](crate::RoundCtx::send)), so the routing passes
-/// themselves work purely on dense `u32` indices.
+/// random-ID networks resolve through a deterministic open-addressing
+/// table built once with the network: a power-of-two array of at least
+/// `2n` slots, each holding a dense index (or [`EMPTY_SLOT`]), probed
+/// linearly from a multiplicative (Fibonacci) hash of the ID. A slot's key
+/// is read back from the path-order ID copy, so the whole resolver costs
+/// 16–24 bytes per node (8 for the ID, 8–16 for the slots). No
+/// `RandomState` is involved: the layout is a pure function of the IDs. Either way resolution happens once per
+/// *send* (in [`RoundCtx::send`](crate::RoundCtx::send)), so the routing
+/// passes themselves work purely on dense `u32` indices.
 #[derive(Debug)]
 pub(crate) enum Resolver {
     /// IDs are `1..=n` in path order.
     Sequential { n: usize },
-    /// Sorted ID table with the matching dense index per entry.
-    Sorted { ids: Vec<NodeId>, index: Vec<u32> },
+    /// Linear-probing table of dense indices over random IDs.
+    Table {
+        /// IDs in path order (`ids[i]` is the key of index `i`).
+        ids: Box<[NodeId]>,
+        /// `2^bits` slots, `bits = 64 - shift`; at most half are full, so
+        /// every probe sequence ends at an empty slot.
+        slots: Box<[u32]>,
+        /// Right shift that turns the 64-bit hash into a slot number.
+        shift: u32,
+    },
+}
+
+/// Marks an unoccupied slot of [`Resolver::Table`].
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// The slot where the probe for `id` starts: Fibonacci hashing, i.e. the
+/// top `64 - shift` bits of `id · 2^64/φ`.
+#[inline]
+fn home_slot(id: NodeId, shift: u32) -> usize {
+    (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
 }
 
 impl Resolver {
@@ -112,15 +135,21 @@ impl Resolver {
         match assignment {
             IdAssignment::Sequential => Resolver::Sequential { n: ids.len() },
             IdAssignment::Random => {
-                let mut pairs: Vec<(NodeId, u32)> = ids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &id)| (id, i as u32))
-                    .collect();
-                pairs.sort_unstable();
-                Resolver::Sorted {
-                    ids: pairs.iter().map(|&(id, _)| id).collect(),
-                    index: pairs.iter().map(|&(_, i)| i).collect(),
+                let bits = (2 * ids.len()).max(2).next_power_of_two().trailing_zeros();
+                let mut slots = vec![EMPTY_SLOT; 1 << bits].into_boxed_slice();
+                let mask = slots.len() - 1;
+                let shift = 64 - bits;
+                for (i, &id) in ids.iter().enumerate() {
+                    let mut at = home_slot(id, shift);
+                    while slots[at] != EMPTY_SLOT {
+                        at = (at + 1) & mask;
+                    }
+                    slots[at] = i as u32;
+                }
+                Resolver::Table {
+                    ids: ids.into(),
+                    slots,
+                    shift,
                 }
             }
         }
@@ -131,7 +160,20 @@ impl Resolver {
     pub(crate) fn index_of(&self, id: NodeId) -> Option<u32> {
         match self {
             Resolver::Sequential { n } => (1..=*n as u64).contains(&id).then(|| (id - 1) as u32),
-            Resolver::Sorted { ids, index } => ids.binary_search(&id).ok().map(|pos| index[pos]),
+            Resolver::Table { ids, slots, shift } => {
+                let mask = slots.len() - 1;
+                let mut at = home_slot(id, *shift);
+                loop {
+                    let i = slots[at];
+                    if i == EMPTY_SLOT {
+                        return None;
+                    }
+                    if ids[i as usize] == id {
+                        return Some(i);
+                    }
+                    at = (at + 1) & mask;
+                }
+            }
         }
     }
 }
@@ -505,13 +547,74 @@ mod tests {
     }
 
     #[test]
-    fn random_resolution_by_binary_search() {
+    fn random_resolution_by_table() {
         let ids: Vec<NodeId> = vec![900, 17, 404, 3];
         let r = Resolver::build(&ids, IdAssignment::Random);
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(r.index_of(id), Some(i as u32), "id {id}");
         }
         assert_eq!(r.index_of(5), None);
+        assert_eq!(r.index_of(0), None);
+        let Resolver::Table { slots, .. } = &r else {
+            panic!("random IDs must resolve through the table");
+        };
+        assert_eq!(slots.len(), 8, "a power of two of at least 2n slots");
+    }
+
+    /// The table against a binary search over the sorted `(id, index)`
+    /// pairs, on seeded random ID sets, for members and non-members alike.
+    #[test]
+    fn table_resolution_matches_a_binary_search_reference() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x1D5);
+        for n in [1usize, 2, 3, 1000, 100_000] {
+            // IDs as networks draw them ([1, n^3]) and over the whole
+            // nonzero range.
+            let cube = (n as u128).pow(3).min(u64::MAX as u128) as u64;
+            for hi in [cube.max(n as u64 + 1), u64::MAX - 1] {
+                let mut set = BTreeSet::new();
+                let mut ids: Vec<NodeId> = Vec::with_capacity(n);
+                while ids.len() < n {
+                    let id = rng.gen_range(1..=hi);
+                    if set.insert(id) {
+                        ids.push(id);
+                    }
+                }
+                let r = Resolver::build(&ids, IdAssignment::Random);
+                let mut pairs: Vec<(NodeId, u32)> = ids
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &id)| (id, i as u32))
+                    .collect();
+                pairs.sort_unstable();
+                let reference = |id: NodeId| {
+                    pairs
+                        .binary_search_by_key(&id, |&(k, _)| k)
+                        .ok()
+                        .map(|at| pairs[at].1)
+                };
+                for &id in &ids {
+                    assert_eq!(r.index_of(id), reference(id), "n={n} id={id}");
+                    assert!(r.index_of(id).is_some());
+                    for near in [id.wrapping_sub(1), id.wrapping_add(1)] {
+                        if !set.contains(&near) {
+                            assert_eq!(r.index_of(near), None, "n={n} id={near}");
+                        }
+                    }
+                }
+                assert_eq!(r.index_of(0), None, "n={n}");
+                assert_eq!(r.index_of(u64::MAX), None, "n={n}");
+                let mut misses = 0;
+                while misses < 10_000 {
+                    let id: u64 = rng.gen();
+                    if !set.contains(&id) {
+                        assert_eq!(r.index_of(id), None, "n={n} id={id}");
+                        misses += 1;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

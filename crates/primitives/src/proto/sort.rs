@@ -305,14 +305,17 @@ mod tests {
 
     #[test]
     fn stage_iter_matches_the_materialized_schedule() {
-        for len in 0..80 {
+        // Every `len` in `0..=4096`, plus each power of two and its
+        // neighbors up to `2^24`.
+        let powers = (13..=24).flat_map(|e| [(1usize << e) - 1, 1 << e, (1 << e) + 1]);
+        for len in (0..=4096).chain(powers) {
             let mut it = StageIter::new(len);
             let mut got = Vec::new();
             while let Some(stage) = it.current() {
                 got.push(stage);
                 it.advance();
             }
-            assert_eq!(got.len(), crate::sort::stage_count(len), "len={len}");
+            assert_eq!(got, crate::sort::stages(len), "len={len}");
             // The schedule is (p, k) with p doubling and k halving from p.
             for w in got.windows(2) {
                 let ((p0, k0), (p1, k1)) = (w[0], w[1]);
@@ -322,6 +325,15 @@ mod tests {
                     assert_eq!((p1, k1), (2 * p0, 2 * p0));
                 }
             }
+            // The closed-form budgets agree with the walked schedule. The
+            // scan runs the network at double width, then a doubling scan
+            // and one delivery round.
+            let stages = got.len();
+            assert_eq!(crate::sort::stage_count(len), stages, "len={len}");
+            assert_eq!(crate::sort::rounds_for(len), stages as u64 + 2, "len={len}");
+            let virt = 2 * len;
+            let scan = crate::sort::stages(virt).len() + crate::levels_for(virt) + 1;
+            assert_eq!(crate::scatter::rounds_for(len), scan as u64, "len={len}");
         }
     }
 }

@@ -97,6 +97,8 @@ const W_SCAN: u64 = 1;
 const W_DELIVER: u64 = 2;
 
 /// Number of rounds [`milestone_scan`] takes on a path of `len` nodes.
+/// O(1) (the stage count has a closed form), so the step port may ask for
+/// it every round.
 pub fn rounds_for(len: usize) -> u64 {
     let virt = 2 * len;
     crate::sort::stage_count(virt) as u64          // comparator network
@@ -202,7 +204,7 @@ pub fn milestone_scan(
 
     // --- Phase 1: odd-even mergesort over the 2·len virtual slots. ---
     let my_id = h.id();
-    for (p, k) in crate::sort::stages_of(virt) {
+    for (p, k) in crate::sort::stages(virt) {
         // Comparators touching my slots; handle same-node pairs locally.
         let mut out = Vec::new();
         let mut plan: [Option<(usize, bool)>; 2] = [None, None];

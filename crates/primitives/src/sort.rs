@@ -103,12 +103,13 @@ struct Record {
 /// The comparator schedule of Batcher's odd-even mergesort: a list of
 /// `(p, k)` stages; within a stage, position `x` compares with `x ± k`.
 /// Shared with the double-width network of [`crate::scatter`].
-#[cfg(feature = "threaded")]
-pub(crate) fn stages_of(len: usize) -> Vec<(usize, usize)> {
-    stages(len)
-}
-
-fn stages(len: usize) -> Vec<(usize, usize)> {
+///
+/// Materialized only by the direct-style twins and the tests; the
+/// step-function ports walk the same sequence with
+/// [`StageIter`](crate::proto::sort::StageIter) and size it with
+/// [`stage_count`].
+#[cfg(any(test, feature = "threaded"))]
+pub(crate) fn stages(len: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut p = 1;
     while p < len {
@@ -123,12 +124,19 @@ fn stages(len: usize) -> Vec<(usize, usize)> {
 }
 
 /// Number of comparator stages for a path of `len` nodes: `O(log² len)`.
+///
+/// Closed form of the schedule's length: with `L =`
+/// [`levels_for`](crate::levels_for)`(len)`, each merge width `p = 2^i <
+/// len` (`i < L`) contributes `i + 1` stages (`k = p, p/2, …, 1`), so the
+/// network has `L·(L+1)/2` stages. O(1) and allocation-free, so the
+/// step-function ports may ask for it on every poll.
 pub fn stage_count(len: usize) -> usize {
-    stages(len).len()
+    let levels = crate::levels_for(len);
+    levels * (levels + 1) / 2
 }
 
 /// Number of rounds [`sort_at`] takes on a path of `len` nodes: one per
-/// comparator stage plus the 2-round epilogue.
+/// comparator stage plus the 2-round epilogue. O(1), like [`stage_count`].
 pub fn rounds_for(len: usize) -> u64 {
     stage_count(len) as u64 + 2
 }
